@@ -312,7 +312,7 @@ func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnio
 	if n.isClosed() {
 		return batchAck{}, ErrClosed
 	}
-	if err := agent.Onion.VerifySig(agent.SP); err != nil {
+	if err := n.memo.VerifySig(agent.Onion, agent.SP); err != nil {
 		return batchAck{}, resilience.Permanent(fmt.Errorf("node: agent onion: %w", err))
 	}
 	nonce, err := pkc.NewNonce(nil)
@@ -344,10 +344,12 @@ func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnio
 	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TReportBatch, sealed, wait); err != nil {
 		return batchAck{}, err
 	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case ack := <-ch:
 		return ack, nil
-	case <-time.After(wait):
+	case <-timer.C:
 		return batchAck{}, ErrTimeout
 	}
 }
@@ -554,7 +556,7 @@ func (n *Node) handleReportBatch(sealed []byte) {
 	reporter := pkc.DeriveNodeID(b.sp)
 	// The reply onion must be signed by the reporter and non-stale; without
 	// this an attacker could use the agent as an ack reflector.
-	if err := b.replyOnion.VerifySig(b.sp); err != nil {
+	if err := n.memo.VerifySig(b.replyOnion, b.sp); err != nil {
 		return
 	}
 	n.mu.Lock()

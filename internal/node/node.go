@@ -228,6 +228,7 @@ type Node struct {
 	ln      net.Listener
 	agent   *agentdir.Agent
 	ages    *onion.AgeTracker
+	memo    *onion.Memo // remembered peels and onion signatures (DESIGN.md §16)
 	seqMu   sync.Mutex
 	seq     uint64
 	mu      sync.Mutex
@@ -436,6 +437,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		opts:          opts,
 		ln:            ln,
 		ages:          onion.NewAgeTracker(),
+		memo:          onion.NewMemo(),
 		hs:            make(map[pkc.Nonce]onion.RelayAnswer),
 		pending:       make(map[pkc.Nonce]chan trustResponse),
 		pendingAcks:   make(map[pkc.Nonce]*batchAckWait),
@@ -653,7 +655,7 @@ func (n *Node) handleOnion(payload []byte) {
 	}
 	res, ok := n.peelAny(blob)
 	if !ok {
-		n.stats.onionsRejcted.Add(1)
+		n.stats.onionsRejected.Add(1)
 		return
 	}
 	if !res.Exit {
@@ -693,10 +695,12 @@ func (n *Node) handleOnion(payload []byte) {
 }
 
 // peelAny peels an onion layer with the current identity or a grace-period
-// predecessor (rotation keeps old onions usable briefly).
+// predecessor (rotation keeps old onions usable briefly). The memo is keyed
+// by each identity's AP, so an identity that leaves the grace window stops
+// peeling even though its old results are still remembered.
 func (n *Node) peelAny(blob []byte) (onion.PeelResult, bool) {
 	for _, id := range n.identities() {
-		if res, err := onion.Peel(id.Anon, blob); err == nil {
+		if res, err := n.memo.Peel(id.Anon, blob); err == nil {
 			return res, true
 		}
 	}

@@ -287,7 +287,7 @@ func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion
 	if n.isClosed() {
 		return 0, nil, ErrClosed
 	}
-	if err := target.Onion.VerifySig(target.SP); err != nil {
+	if err := n.memo.VerifySig(target.Onion, target.SP); err != nil {
 		return 0, nil, resilience.Permanent(fmt.Errorf("node: proof target onion: %w", err))
 	}
 	nonce, err := pkc.NewNonce(nil)
@@ -321,6 +321,8 @@ func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion
 	if err := n.sendThroughOnionTimeout(target.Onion, wire.TProofReq, sealed, wait); err != nil {
 		return 0, nil, err
 	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case resp := <-w.ch:
 		if resp.subject != subject {
@@ -330,7 +332,7 @@ func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion
 			return 0, nil, ErrWrongOwner
 		}
 		return resp.kind, resp.payload, nil
-	case <-time.After(wait):
+	case <-timer.C:
 		return 0, nil, ErrTimeout
 	}
 }
@@ -441,7 +443,7 @@ func (n *Node) handleProofReq(sealed []byte) {
 			return
 		}
 	}
-	if err := replyOnion.VerifySig(requestorSP); err != nil {
+	if err := n.memo.VerifySig(replyOnion, requestorSP); err != nil {
 		return
 	}
 	n.mu.Lock()

@@ -123,7 +123,7 @@ func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion 
 	if n.isClosed() {
 		return 0, false, ErrClosed
 	}
-	if err := agent.Onion.VerifySig(agent.SP); err != nil {
+	if err := n.memo.VerifySig(agent.Onion, agent.SP); err != nil {
 		return 0, false, resilience.Permanent(fmt.Errorf("node: agent onion: %w", err))
 	}
 	nonce, err := pkc.NewNonce(nil)
@@ -157,6 +157,8 @@ func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion 
 	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TTrustReq, sealed, wait); err != nil {
 		return 0, false, err
 	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case resp := <-ch:
 		if resp.subject != subject {
@@ -169,7 +171,7 @@ func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion 
 			return 0, false, ErrWrongOwner
 		}
 		return resp.value, resp.hasData, nil
-	case <-time.After(wait):
+	case <-timer.C:
 		return 0, false, ErrTimeout
 	}
 }
@@ -235,7 +237,7 @@ func (n *Node) handleTrustReq(sealed []byte) {
 		return
 	}
 	// The reply onion must be signed by the requestor and non-stale.
-	if err := replyOnion.VerifySig(requestorSP); err != nil {
+	if err := n.memo.VerifySig(replyOnion, requestorSP); err != nil {
 		return
 	}
 	n.mu.Lock()

@@ -1030,7 +1030,7 @@ func (n *Node) ReplicationStatus(agent AgentInfo, primary pkc.NodeID, promote bo
 	if n.isClosed() {
 		return ReplStatus{}, ErrClosed
 	}
-	if err := agent.Onion.VerifySig(agent.SP); err != nil {
+	if err := n.memo.VerifySig(agent.Onion, agent.SP); err != nil {
 		return ReplStatus{}, fmt.Errorf("node: agent onion: %w", err)
 	}
 	nonce, err := pkc.NewNonce(nil)
@@ -1061,13 +1061,15 @@ func (n *Node) ReplicationStatus(agent AgentInfo, primary pkc.NodeID, promote bo
 	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TReplStatusReq, sealed, wait); err != nil {
 		return ReplStatus{}, err
 	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case st := <-ch:
 		if st.Primary != primary {
 			return ReplStatus{}, ErrBadAgent
 		}
 		return st, nil
-	case <-time.After(wait):
+	case <-timer.C:
 		return ReplStatus{}, ErrTimeout
 	}
 }
@@ -1106,7 +1108,7 @@ func (n *Node) handleReplStatusReq(sealed []byte) {
 	if err := n.agent.RegisterKey(requestorID, requestorSP); err != nil {
 		return
 	}
-	if err := replyOnion.VerifySig(requestorSP); err != nil {
+	if err := n.memo.VerifySig(replyOnion, requestorSP); err != nil {
 		return
 	}
 	n.mu.Lock()

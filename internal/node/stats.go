@@ -122,13 +122,13 @@ func (s Stats) String() string {
 
 // nodeStats is the atomic backing store.
 type nodeStats struct {
-	framesIn, framesReadErr, framesDecodeErr     atomic.Int64
-	sessionsShed                                 atomic.Int64
-	onionsForwarded, onionsExited, onionsRejcted atomic.Int64
-	trustServed, reportsStored, walksAnswered    atomic.Int64
-	reportsDeferred, reportsLost                 atomic.Int64
-	replBatches, replShipped, replApplied        atomic.Int64
-	replRepairs, replPulled                      atomic.Int64
+	framesIn, framesReadErr, framesDecodeErr      atomic.Int64
+	sessionsShed                                  atomic.Int64
+	onionsForwarded, onionsExited, onionsRejected atomic.Int64
+	trustServed, reportsStored, walksAnswered     atomic.Int64
+	reportsDeferred, reportsLost                  atomic.Int64
+	replBatches, replShipped, replApplied         atomic.Int64
+	replRepairs, replPulled                       atomic.Int64
 
 	reportBatches                              atomic.Int64
 	ingestRejectedReplay, ingestRejectedKey    atomic.Int64
@@ -170,7 +170,7 @@ func (n *Node) Stats() Stats {
 		SessionsShed:            n.stats.sessionsShed.Load(),
 		OnionsForwarded:         n.stats.onionsForwarded.Load(),
 		OnionsExited:            n.stats.onionsExited.Load(),
-		OnionsRejected:          n.stats.onionsRejcted.Load(),
+		OnionsRejected:          n.stats.onionsRejected.Load(),
 		TrustServed:             n.stats.trustServed.Load(),
 		ReportsStored:           n.stats.reportsStored.Load(),
 		WalksAnswered:           n.stats.walksAnswered.Load(),

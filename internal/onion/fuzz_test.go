@@ -79,3 +79,37 @@ func FuzzOpenHandshakes(f *testing.F) {
 		}
 	})
 }
+
+// fuzzMemo persists across fuzz executions, so later inputs are checked
+// against entries earlier ones left behind.
+var fuzzMemo = NewMemo()
+
+// FuzzMemoAgrees: the memo's answers agree with Peel and Onion.VerifySig on
+// arbitrary blobs, signatures and sequence numbers, first call and repeat.
+func FuzzMemoAgrees(f *testing.F) {
+	route := []Relay{{Addr: "r", AP: fuzzIdentity.Anon.Public}}
+	o, err := Build(fuzzIdentity, "owner", route, 3, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(o.Blob, o.Sig, o.Seq)
+	f.Add(o.Blob[:len(o.Blob)-1], append([]byte{o.Blob[len(o.Blob)-1]}, o.Sig...), o.Seq)
+	f.Add(o.Blob, o.Sig, o.Seq+1)
+	f.Add([]byte{}, []byte{}, uint64(0))
+	f.Fuzz(func(t *testing.T, blob, sig []byte, seq uint64) {
+		want, wantErr := Peel(fuzzIdentity.Anon, blob)
+		for i := 0; i < 2; i++ {
+			got, err := fuzzMemo.Peel(fuzzIdentity.Anon, blob)
+			if (err == nil) != (wantErr == nil) || (err == nil && !samePeel(got, want)) {
+				t.Fatalf("call %d: memo peel (%v) disagrees with Peel (%v)", i, err, wantErr)
+			}
+		}
+		cand := &Onion{Entry: "e", Blob: blob, Seq: seq, Sig: sig}
+		wantSig := cand.VerifySig(fuzzIdentity.Sign.Public)
+		for i := 0; i < 2; i++ {
+			if err := fuzzMemo.VerifySig(cand, fuzzIdentity.Sign.Public); (err == nil) != (wantSig == nil) {
+				t.Fatalf("call %d: memo verify (%v) disagrees with VerifySig (%v)", i, err, wantSig)
+			}
+		}
+	})
+}

@@ -34,6 +34,7 @@ func VerifyBatch(keys []ed25519.PublicKey, msgs, sigs [][]byte) []bool {
 	if len(keys) != n || len(sigs) != n {
 		panic("pkc: VerifyBatch slice lengths differ")
 	}
+	ops.batchVerify.Add(uint64(n))
 	ok := make([]bool, n)
 	workers := runtime.GOMAXPROCS(0)
 	if max := (n + verifyBatchSerialBelow - 1) / verifyBatchSerialBelow; workers > max {
@@ -41,7 +42,7 @@ func VerifyBatch(keys []ed25519.PublicKey, msgs, sigs [][]byte) []bool {
 	}
 	if n < verifyBatchSerialBelow || workers <= 1 {
 		for i := range msgs {
-			ok[i] = Verify(keys[i], msgs[i], sigs[i])
+			ok[i] = verify(keys[i], msgs[i], sigs[i])
 		}
 		return ok
 	}
@@ -56,7 +57,7 @@ func VerifyBatch(keys []ed25519.PublicKey, msgs, sigs [][]byte) []bool {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				ok[i] = Verify(keys[i], msgs[i], sigs[i])
+				ok[i] = verify(keys[i], msgs[i], sigs[i])
 			}
 		}(lo, hi)
 	}

@@ -73,6 +73,12 @@ type AnonKeyPair struct {
 	private *ecdh.PrivateKey // AR
 }
 
+// Valid reports whether kp holds a private key whose public half is
+// kp.Public, so that kp.Open opens exactly what was sealed to kp.Public.
+func (kp AnonKeyPair) Valid() bool {
+	return kp.private != nil && kp.Public != nil && kp.private.PublicKey().Equal(kp.Public)
+}
+
 // Identity bundles a peer's keys and derived nodeID.
 type Identity struct {
 	ID   NodeID
@@ -103,11 +109,19 @@ func NewIdentity(r io.Reader) (*Identity, error) {
 
 // SignMessage signs msg with SR.
 func (id *Identity) SignMessage(msg []byte) []byte {
+	ops.sign.Add(1)
 	return ed25519.Sign(id.Sign.private, msg)
 }
 
 // Verify checks a signature over msg against a signature public key sp.
 func Verify(sp ed25519.PublicKey, msg, sig []byte) bool {
+	ops.verify.Add(1)
+	return verify(sp, msg, sig)
+}
+
+// verify is Verify without the operation count; VerifyBatch counts its
+// signatures separately.
+func verify(sp ed25519.PublicKey, msg, sig []byte) bool {
 	if len(sp) != ed25519.PublicKeySize {
 		return false
 	}

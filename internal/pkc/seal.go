@@ -25,6 +25,7 @@ func Seal(ap *ecdh.PublicKey, plaintext []byte, r io.Reader) ([]byte, error) {
 	if r == nil {
 		r = rand.Reader
 	}
+	ops.seal.Add(1)
 	eph, err := ecdh.X25519().GenerateKey(r)
 	if err != nil {
 		return nil, fmt.Errorf("pkc: ephemeral key: %w", err)
@@ -37,12 +38,12 @@ func Seal(ap *ecdh.PublicKey, plaintext []byte, r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, aead.NonceSize())
+	nonce := make([]byte, sealNonceLen)
 	if _, err := io.ReadFull(r, nonce); err != nil {
 		return nil, fmt.Errorf("pkc: nonce: %w", err)
 	}
 	ephPub := eph.PublicKey().Bytes()
-	out := make([]byte, 0, len(ephPub)+len(nonce)+len(plaintext)+aead.Overhead())
+	out := make([]byte, 0, len(plaintext)+SealOverhead())
 	out = append(out, ephPub...)
 	out = append(out, nonce...)
 	out = aead.Seal(out, nonce, plaintext, ephPub)
@@ -54,13 +55,11 @@ func (kp AnonKeyPair) Open(box []byte) ([]byte, error) {
 	if kp.private == nil {
 		return nil, ErrBadKey
 	}
-	const ephLen = 32
-	aeadProbe, _ := newAEAD(make([]byte, 32))
-	nonceLen := aeadProbe.NonceSize()
-	if len(box) < ephLen+nonceLen+aeadProbe.Overhead() {
+	if len(box) < SealOverhead() {
 		return nil, ErrBadCiphertext
 	}
-	ephPub, err := ecdh.X25519().NewPublicKey(box[:ephLen])
+	ops.open.Add(1)
+	ephPub, err := ecdh.X25519().NewPublicKey(box[:sealEphLen])
 	if err != nil {
 		return nil, ErrBadCiphertext
 	}
@@ -72,19 +71,24 @@ func (kp AnonKeyPair) Open(box []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonce := box[ephLen : ephLen+nonceLen]
-	plain, err := aead.Open(nil, nonce, box[ephLen+nonceLen:], box[:ephLen])
+	nonce := box[sealEphLen : sealEphLen+sealNonceLen]
+	plain, err := aead.Open(nil, nonce, box[sealEphLen+sealNonceLen:], box[:sealEphLen])
 	if err != nil {
 		return nil, ErrBadCiphertext
 	}
 	return plain, nil
 }
 
+// Seal's framing: X25519 public keys are 32 bytes, and cipher.NewGCM uses a
+// 12-byte nonce and a 16-byte tag.
+const (
+	sealEphLen   = 32
+	sealNonceLen = 12
+	sealTagLen   = 16
+)
+
 // SealOverhead is the number of bytes Seal adds to a plaintext.
-func SealOverhead() int {
-	aead, _ := newAEAD(make([]byte, 32))
-	return 32 + aead.NonceSize() + aead.Overhead()
-}
+func SealOverhead() int { return sealEphLen + sealNonceLen + sealTagLen }
 
 func newAEAD(shared []byte) (cipher.AEAD, error) {
 	key := sha256.Sum256(shared)
